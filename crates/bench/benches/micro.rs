@@ -17,6 +17,7 @@ use st_reclaim::mem::{Mem, NodeType};
 use st_simheap::{Heap, HeapConfig};
 use st_simhtm::{util::U64Set, HtmConfig, HtmEngine};
 use st_structures::list::{self, ListShape};
+use st_structures::skiplist::SkipShape;
 use stacktrack::{predictor::SplitPredictor, ScanMode, StConfig, StRuntime, Step};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -65,13 +66,14 @@ impl Harness {
         println!("{name:<40} {ns:>12.1} ns/iter");
     }
 
-    /// Like [`Harness::bench`] but rebuilds fresh state for every
-    /// iteration via `setup` (setup time is excluded from the average by
-    /// timing only the `run` closure). Uses 1/100 the iterations since
-    /// setup dominates wall-clock.
+    /// Like [`Harness::bench`] but rebuilds fresh state for every one of
+    /// `iters` iterations via `setup` (setup time is excluded from the
+    /// average by timing only the `run` closure, which also drops what it
+    /// consumes).
     fn bench_with_setup<S>(
         &self,
         name: &str,
+        iters: u64,
         mut setup: impl FnMut() -> S,
         mut run: impl FnMut(S),
     ) {
@@ -80,7 +82,7 @@ impl Harness {
                 return;
             }
         }
-        let iters = if self.smoke { 1 } else { ITERS / 100 };
+        let iters = if self.smoke { 1 } else { iters };
         let mut total_ns = 0u128;
         for _ in 0..iters {
             let state = setup();
@@ -216,6 +218,7 @@ fn bench_scan_modes(h: &Harness) {
     for (name, mode) in [("linear", ScanMode::Linear), ("hashed", ScanMode::Hashed)] {
         h.bench_with_setup(
             &format!("stacktrack/scan/{name}"),
+            ITERS / 100,
             || {
                 let heap = Arc::new(Heap::new(HeapConfig {
                     capacity_words: 1 << 20,
@@ -254,6 +257,55 @@ fn bench_scan_modes(h: &Harness) {
     }
 }
 
+fn bench_world_build(h: &Harness) {
+    // World set-up and teardown: what every figure config and every
+    // model-checked schedule pays before its first simulated step.
+    h.bench_with_setup(
+        "world_build/heap_new_drop_2^23",
+        ITERS / 100,
+        || (),
+        |()| {
+            black_box(Heap::new(HeapConfig {
+                capacity_words: 1 << 23,
+                ..HeapConfig::default()
+            }));
+        },
+    );
+    // The paper skip list: 100K keys from 1..=200K.
+    h.bench_with_setup(
+        "world_build/skiplist_populate_100k",
+        20,
+        || {
+            let heap = Heap::new(HeapConfig {
+                capacity_words: 1 << 23,
+                ..HeapConfig::default()
+            });
+            let shape = SkipShape::new_untimed(&heap);
+            (heap, shape)
+        },
+        |(heap, shape)| {
+            let mut rng = st_machine::Pcg32::new_stream(1, 0x5742);
+            shape.populate_untimed(&heap, 100_000, 200_000, &mut rng);
+            black_box(heap.stats().alloc.allocs);
+        },
+    );
+    h.bench_with_setup(
+        "world_build/stacktrack_register_x16",
+        ITERS / 100,
+        || {
+            let heap = Arc::new(Heap::new(HeapConfig {
+                capacity_words: 1 << 20,
+                ..HeapConfig::default()
+            }));
+            let engine = Arc::new(HtmEngine::new(heap, HtmConfig::default(), 16));
+            StRuntime::new(engine, StConfig::default(), 16)
+        },
+        |rt| {
+            black_box((0..16).map(|t| rt.register_thread(t)).collect::<Vec<_>>());
+        },
+    );
+}
+
 fn main() {
     let h = Harness::from_args();
     bench_heap_ops(&h);
@@ -262,4 +314,5 @@ fn main() {
     bench_predictor(&h);
     bench_list_op(&h);
     bench_scan_modes(&h);
+    bench_world_build(&h);
 }

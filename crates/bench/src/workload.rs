@@ -285,24 +285,12 @@ impl StructureInstance {
         match spec.structure {
             StructureKind::List => {
                 let shape = list::ListShape::new_untimed(heap);
-                let mut inserted = 0;
-                while inserted < spec.initial_size {
-                    let key = rng.below(spec.key_range) + 1;
-                    if shape.insert_untimed(heap, key) {
-                        inserted += 1;
-                    }
-                }
+                shape.populate_untimed(heap, spec.initial_size, spec.key_range, &mut rng);
                 StructureInstance::List(shape)
             }
             StructureKind::SkipList => {
                 let shape = skiplist::SkipShape::new_untimed(heap);
-                let mut inserted = 0;
-                while inserted < spec.initial_size {
-                    let key = rng.below(spec.key_range) + 1;
-                    if shape.insert_untimed(heap, key, &mut rng) {
-                        inserted += 1;
-                    }
-                }
+                shape.populate_untimed(heap, spec.initial_size, spec.key_range, &mut rng);
                 StructureInstance::SkipList(shape)
             }
             StructureKind::Queue => {
@@ -314,13 +302,7 @@ impl StructureInstance {
             }
             StructureKind::Hash => {
                 let shape = hash::HashShape::new_untimed(heap, spec.buckets);
-                let mut inserted = 0;
-                while inserted < spec.initial_size {
-                    let key = rng.below(spec.key_range) + 1;
-                    if shape.insert_untimed(heap, key) {
-                        inserted += 1;
-                    }
-                }
+                shape.populate_untimed(heap, spec.initial_size, spec.key_range, &mut rng);
                 StructureInstance::Hash(shape)
             }
             StructureKind::RbTree => {

@@ -32,6 +32,19 @@ pub struct ObjInfo {
     pub live: bool,
 }
 
+/// A block handed out by [`Allocator::alloc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Block {
+    /// Base address.
+    pub addr: Addr,
+    /// Block length in words (the size class, not the request).
+    pub words: u64,
+    /// Whether the block was carved from the bump pointer rather than
+    /// recycled from a free list. No word at or above the bump pointer
+    /// has ever been written, so a fresh block is already all zero.
+    pub fresh: bool,
+}
+
 /// Allocation failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocError {
@@ -42,7 +55,7 @@ pub enum AllocError {
 }
 
 /// Running allocator statistics.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct AllocStats {
     /// Total successful allocations.
     pub allocs: u64,
@@ -89,20 +102,20 @@ impl Allocator {
     }
 
     /// Allocates a block of at least `words` words.
-    pub fn alloc(&mut self, words: usize) -> Result<Addr, AllocError> {
+    pub fn alloc(&mut self, words: usize) -> Result<Block, AllocError> {
         let class = class_of(words).ok_or(AllocError::BadSize)?;
         let block = 1u64 << class;
 
-        let start = if let Some(idx) = self.free_lists[class as usize].pop() {
+        let (start, fresh) = if let Some(idx) = self.free_lists[class as usize].pop() {
             self.stats.recycled += 1;
-            idx
+            (idx, false)
         } else {
             if self.bump + block > self.capacity {
                 return Err(AllocError::OutOfMemory);
             }
             let idx = self.bump;
             self.bump += block;
-            idx
+            (idx, true)
         };
 
         self.objects.insert(
@@ -117,7 +130,11 @@ impl Allocator {
         self.stats.live_objects += 1;
         self.stats.live_words += block;
         self.stats.peak_live_words = self.stats.peak_live_words.max(self.stats.live_words);
-        Ok(Addr::from_index(start))
+        Ok(Block {
+            addr: Addr::from_index(start),
+            words: block,
+            fresh,
+        })
     }
 
     /// Returns a block to its class free list.
@@ -170,6 +187,12 @@ impl Allocator {
             .map(|info| 1u64 << info.class)
     }
 
+    /// The bump pointer: the first word index never handed out. Every
+    /// word at or above it has never been written.
+    pub(crate) fn bump(&self) -> u64 {
+        self.bump
+    }
+
     /// Snapshot of the statistics.
     pub fn stats(&self) -> AllocStats {
         self.stats.clone()
@@ -197,7 +220,7 @@ mod tests {
         let mut a = Allocator::new(1 << 16);
         let mut seen = std::collections::HashSet::new();
         for i in 1..100usize {
-            let addr = a.alloc(i % 9 + 1).unwrap();
+            let addr = a.alloc(i % 9 + 1).unwrap().addr;
             assert!(!addr.is_null());
             assert!(seen.insert(addr), "overlapping allocation {addr:?}");
         }
@@ -207,11 +230,18 @@ mod tests {
     fn recycling_is_type_stable() {
         let mut a = Allocator::new(1 << 12);
         let x = a.alloc(4).unwrap();
-        a.free(x);
+        assert!(x.fresh);
+        a.free(x.addr);
         let y = a.alloc(3).unwrap(); // same class (4 words)
-        assert_eq!(x, y, "same-class alloc should recycle the freed slot");
+        assert_eq!(
+            x.addr, y.addr,
+            "same-class alloc should recycle the freed slot"
+        );
+        assert!(!y.fresh, "a recycled block is not fresh");
         let z = a.alloc(8).unwrap(); // different class: fresh memory
-        assert_ne!(x, z);
+        assert_ne!(x.addr, z.addr);
+        assert!(z.fresh);
+        assert_eq!((z.words, a.bump()), (8, 13));
         assert_eq!(a.stats().recycled, 1);
     }
 
@@ -227,7 +257,7 @@ mod tests {
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
         let mut a = Allocator::new(1 << 10);
-        let x = a.alloc(2).unwrap();
+        let x = a.alloc(2).unwrap().addr;
         a.free(x);
         a.free(x);
     }
@@ -242,7 +272,7 @@ mod tests {
     #[test]
     fn object_at_resolves_interior_pointers() {
         let mut a = Allocator::new(1 << 12);
-        let x = a.alloc(6).unwrap(); // class 3, 8 words
+        let x = a.alloc(6).unwrap().addr; // class 3, 8 words
         let interior = x.offset(5).raw();
         let (base, info) = a.object_at(interior).unwrap();
         assert_eq!(base, x);
@@ -260,8 +290,8 @@ mod tests {
     #[test]
     fn stats_track_live_and_peak() {
         let mut a = Allocator::new(1 << 12);
-        let x = a.alloc(4).unwrap();
-        let y = a.alloc(4).unwrap();
+        let x = a.alloc(4).unwrap().addr;
+        let y = a.alloc(4).unwrap().addr;
         assert_eq!(a.stats().live_objects, 2);
         assert_eq!(a.stats().live_words, 8);
         a.free(x);

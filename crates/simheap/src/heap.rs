@@ -1,12 +1,17 @@
 //! The heap façade: words + allocator + traffic + poison.
 
 use crate::addr::{Addr, Word};
-use crate::alloc::{AllocError, AllocStats, Allocator};
+use crate::alloc::{AllocError, AllocStats, Allocator, Block};
 use crate::traffic::Traffic;
 use st_machine::Cpu;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+/// Words per slab chunk (see [`Heap`]): 32 KB of host memory, created the
+/// first time a word inside it is written.
+const CHUNK_SHIFT: u32 = 12;
+const CHUNK_WORDS: u64 = 1 << CHUNK_SHIFT;
 
 /// Pattern written to freed words; reading it back from a committed
 /// operation is a use-after-free and fails tests loudly.
@@ -214,15 +219,21 @@ pub struct HeapStats {
 
 /// The simulated heap.
 ///
-/// Word storage is a fixed slab of `AtomicU64`; atomics make the heap
-/// `Sync` so it can also be exercised by real OS threads in stress tests,
-/// even though the discrete-event simulator only ever runs one at a time.
-/// All orderings are `Relaxed` on purpose: *simulated* memory-model effects
-/// (fences, coherence misses) are charged as virtual cycles by the cost
-/// model, not delegated to the host's memory model.
+/// Word storage is a slab of `AtomicU64` cut into chunks of 4,096 words,
+/// each created on the first write inside it; a word in a chunk that was
+/// never written reads 0. Building a heap therefore costs host memory in
+/// proportion to what the run writes, not to `capacity_words`. Fresh
+/// blocks from the bump pointer are handed out without zeroing (nothing
+/// at or above the bump pointer was ever written); only recycled blocks
+/// are cleared. Atomics make the heap `Sync` so it can also be exercised
+/// by real OS threads in stress tests, even though the discrete-event
+/// simulator only ever runs one at a time. All orderings are `Relaxed` on
+/// purpose: *simulated* memory-model effects (fences, coherence misses)
+/// are charged as virtual cycles by the cost model, not delegated to the
+/// host's memory model.
 #[derive(Debug)]
 pub struct Heap {
-    words: Box<[AtomicU64]>,
+    chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
     allocator: Mutex<Allocator>,
     traffic: Traffic,
     config: HeapConfig,
@@ -239,12 +250,11 @@ pub struct Heap {
 impl Heap {
     /// Creates a heap per `config`.
     pub fn new(config: HeapConfig) -> Self {
-        let words = (0..config.capacity_words)
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let chunks = (0..config.capacity_words.div_ceil(CHUNK_WORDS))
+            .map(|_| OnceLock::new())
+            .collect();
         Self {
-            words,
+            chunks,
             allocator: Mutex::new(Allocator::new(config.capacity_words)),
             traffic: Traffic::new(config.traffic_slots),
             config,
@@ -260,13 +270,36 @@ impl Heap {
         Self::new(HeapConfig::default())
     }
 
-    fn cell(&self, addr: Addr, off: u64) -> &AtomicU64 {
+    fn index(&self, addr: Addr, off: u64) -> u64 {
         let idx = addr.index() + off;
         assert!(
             idx > 0 && idx < self.config.capacity_words,
             "address {addr:?}+{off} outside the heap"
         );
-        &self.words[idx as usize]
+        idx
+    }
+
+    /// Reads a word; a word in a never-written chunk is 0.
+    fn read(&self, addr: Addr, off: u64) -> Word {
+        let idx = self.index(addr, off);
+        match self.chunks[(idx >> CHUNK_SHIFT) as usize].get() {
+            Some(chunk) => chunk[(idx & (CHUNK_WORDS - 1)) as usize].load(Ordering::Relaxed),
+            None => 0,
+        }
+    }
+
+    /// The cell a write targets, creating its chunk on first use.
+    fn cell(&self, addr: Addr, off: u64) -> &AtomicU64 {
+        let idx = self.index(addr, off);
+        // Fresh blocks skip zeroing because nothing at or above the bump
+        // pointer is ever written; every write path comes through here.
+        debug_assert!(
+            idx < self.allocator.lock().unwrap().bump(),
+            "write to {addr:?}+{off} above the bump pointer"
+        );
+        let chunk = self.chunks[(idx >> CHUNK_SHIFT) as usize]
+            .get_or_init(|| (0..CHUNK_WORDS).map(|_| AtomicU64::new(0)).collect());
+        &chunk[(idx & (CHUNK_WORDS - 1)) as usize]
     }
 
     // ------------------------------------------------------------------
@@ -281,7 +314,7 @@ impl Heap {
         cpu.charge(cpu.costs.load + extra);
         cpu.counters.loads += 1;
         self.uaf_check(cpu.thread_id, UafKind::Read, addr, off);
-        self.cell(addr, off).load(Ordering::Relaxed)
+        self.read(addr, off)
     }
 
     /// Plain store to `addr + off` (charges store cost + coherence traffic).
@@ -348,7 +381,7 @@ impl Heap {
 
     /// Reads a word without charging time.
     pub fn peek(&self, addr: Addr, off: u64) -> Word {
-        self.cell(addr, off).load(Ordering::Relaxed)
+        self.read(addr, off)
     }
 
     /// Writes a word without charging time (test/bootstrap use).
@@ -364,17 +397,10 @@ impl Heap {
     pub fn alloc(&self, cpu: &mut Cpu, words: usize) -> Result<Addr, AllocError> {
         cpu.charge(cpu.costs.alloc);
         cpu.counters.allocs += 1;
-        let addr = self.allocator.lock().unwrap().alloc(words)?;
-        let block = {
-            let a = self.allocator.lock().unwrap();
-            a.block_len(addr).expect("just allocated")
-        };
-        for off in 0..block {
-            self.cell(addr, off).store(0, Ordering::Relaxed);
-        }
-        self.uaf_check_reexposure(cpu.thread_id, addr, block);
-        self.ledger_on_alloc(addr);
-        Ok(addr)
+        let block = self.carve(words)?;
+        self.uaf_check_reexposure(cpu.thread_id, block.addr, block.words);
+        self.ledger_on_alloc(block.addr);
+        Ok(block.addr)
     }
 
     /// Allocates `words` zeroed words without charging virtual time.
@@ -382,16 +408,21 @@ impl Heap {
     /// For bootstrap only (building thread contexts and initial data
     /// structure population before the measured run starts).
     pub fn alloc_untimed(&self, words: usize) -> Result<Addr, AllocError> {
-        let addr = self.allocator.lock().unwrap().alloc(words)?;
-        let block = {
-            let a = self.allocator.lock().unwrap();
-            a.block_len(addr).expect("just allocated")
-        };
-        for off in 0..block {
-            self.cell(addr, off).store(0, Ordering::Relaxed);
+        let block = self.carve(words)?;
+        self.ledger_on_alloc(block.addr);
+        Ok(block.addr)
+    }
+
+    /// Takes a block from the allocator (one lock) and zeroes it if it
+    /// was recycled; a fresh block has never been written and reads 0.
+    fn carve(&self, words: usize) -> Result<Block, AllocError> {
+        let block = self.allocator.lock().unwrap().alloc(words)?;
+        if !block.fresh {
+            for off in 0..block.words {
+                self.cell(block.addr, off).store(0, Ordering::Relaxed);
+            }
         }
-        self.ledger_on_alloc(addr);
-        Ok(addr)
+        Ok(block)
     }
 
     /// Frees the block based at `addr`, poisoning it first if configured.
@@ -756,9 +787,71 @@ mod tests {
         let a = heap.alloc(&mut c, 4).unwrap();
         heap.store(&mut c, a, 0, 99);
         heap.free(&mut c, a);
+        assert!((0..4).all(|off| heap.is_poisoned(a, off)));
         let b = heap.alloc(&mut c, 4).unwrap();
         assert_eq!(b, a, "type-stable recycle");
-        assert_eq!(heap.load(&mut c, b, 0), 0, "recycled memory must be zeroed");
+        for off in 0..4 {
+            assert_eq!(
+                heap.load(&mut c, b, off),
+                0,
+                "recycled memory must be zeroed"
+            );
+        }
+        // The untimed path clears recycled blocks too.
+        heap.free(&mut c, b);
+        let u = heap.alloc_untimed(3).unwrap();
+        assert_eq!(u, a);
+        assert!((0..4).all(|off| heap.peek(u, off) == 0));
+    }
+
+    #[test]
+    fn never_written_words_read_zero() {
+        // Capacity deliberately not a multiple of the chunk size.
+        let heap = Heap::new(HeapConfig {
+            capacity_words: 3 * CHUNK_WORDS + 5,
+            ..HeapConfig::small()
+        });
+        let top = Addr::from_index(heap.capacity_words() - 1);
+        assert_eq!(heap.peek(top, 0), 0, "last word of the partial chunk");
+        assert_eq!(heap.peek(Addr::from_index(CHUNK_WORDS), 0), 0);
+        // A write creates one chunk; its neighbours still read 0.
+        let a = heap.alloc_untimed(8).unwrap();
+        heap.poke(a, 3, 7);
+        assert_eq!(
+            (heap.peek(a, 2), heap.peek(a, 3), heap.peek(a, 4)),
+            (0, 7, 0)
+        );
+        assert_eq!(heap.chunks.iter().filter(|c| c.get().is_some()).count(), 1);
+        // Fresh blocks are handed out without touching the slab.
+        let big = heap.alloc_untimed(1 << 13).unwrap();
+        assert!((0..1 << 13).all(|off| heap.peek(big, off) == 0));
+        assert_eq!(heap.chunks.iter().filter(|c| c.get().is_some()).count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the heap")]
+    fn write_past_a_partial_chunk_panics() {
+        let heap = Heap::new(HeapConfig {
+            capacity_words: CHUNK_WORDS + 5,
+            ..HeapConfig::small()
+        });
+        heap.poke(Addr::from_index(CHUNK_WORDS + 5), 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the heap")]
+    fn peek_past_the_heap_panics() {
+        let heap = Heap::new(HeapConfig::small());
+        heap.peek(Addr::from_index(heap.capacity_words()), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "above the bump pointer")]
+    fn write_above_the_bump_pointer_is_caught() {
+        let heap = Heap::new(HeapConfig::small());
+        let a = heap.alloc_untimed(2).unwrap();
+        heap.poke(a, 2, 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! requirement wholesale — see [`guard_requirement`].
 
 use crate::list::{self, ListShape, LIST_SLOTS};
-use st_machine::Cpu;
+use st_machine::{Cpu, Pcg32};
 use st_reclaim::mem::GuardRequirement;
 use st_reclaim::SchemeThread;
 use st_simheap::Heap;
@@ -40,8 +40,12 @@ impl HashShape {
 
     /// The bucket a key hashes to.
     pub fn bucket_of(&self, key: u64) -> ListShape {
+        self.buckets[self.bucket_index(key)]
+    }
+
+    fn bucket_index(&self, key: u64) -> usize {
         let h = key.wrapping_mul(0x9e3779b97f4a7c15);
-        self.buckets[(h >> 33) as usize % self.buckets.len()]
+        (h >> 33) as usize % self.buckets.len()
     }
 
     /// Number of buckets.
@@ -49,9 +53,31 @@ impl HashShape {
         self.buckets.len()
     }
 
-    /// Inserts directly (initial population).
+    /// Inserts directly (untimed; set-up).
     pub fn insert_untimed(&self, heap: &Heap, key: u64) -> bool {
         self.bucket_of(key).insert_untimed(heap, key)
+    }
+
+    /// Populates the empty table with `n` distinct keys drawn as
+    /// `rng.below(key_range) + 1` (untimed; initial population).
+    ///
+    /// Same draws, addresses and heap words as calling
+    /// [`HashShape::insert_untimed`] until `n` succeed (see
+    /// [`ListShape::populate_untimed`]); each bucket is sorted and
+    /// linked once.
+    pub fn populate_untimed(&self, heap: &Heap, n: u64, key_range: u64, rng: &mut Pcg32) {
+        let mut nodes = Vec::with_capacity(n as usize);
+        crate::draw_distinct_keys(n, key_range, rng, |key, _| {
+            nodes.push((
+                self.bucket_index(key),
+                key,
+                list::alloc_node_untimed(heap, key),
+            ));
+        });
+        nodes.sort_unstable();
+        for run in nodes.chunk_by(|a, b| a.0 == b.0) {
+            self.buckets[run[0].0].link_untimed(heap, run.iter().map(|&(_, _, node)| node));
+        }
     }
 
     /// All keys currently present (untimed; tests).

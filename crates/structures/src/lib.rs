@@ -50,6 +50,38 @@ pub use queue::MsQueue;
 pub use rbtree::RbTree;
 pub use skiplist::SkipList;
 
+/// Draws `n` distinct keys as `rng.below(key_range) + 1`, redrawing
+/// repeats, and hands each new key to `new_key` in draw order together
+/// with `rng` (the skip list draws a tower height from the same stream).
+///
+/// This is the draw sequence of a loop of untimed inserts that counts
+/// only successful ones, which is what the structures' `populate_untimed`
+/// reproduce. The repeat filter is sized by `n`, not by `key_range`.
+///
+/// # Panics
+///
+/// Panics when `1..=key_range` holds fewer than `n` keys, or when a key
+/// could collide with the `u64::MAX` tail sentinel.
+pub(crate) fn draw_distinct_keys(
+    n: u64,
+    key_range: u64,
+    rng: &mut st_machine::Pcg32,
+    mut new_key: impl FnMut(u64, &mut st_machine::Pcg32),
+) {
+    assert!(
+        n <= key_range,
+        "cannot draw {n} distinct keys from 1..={key_range}"
+    );
+    assert!(key_range < u64::MAX, "key range");
+    let mut seen = st_simhtm::util::U64Set::with_capacity(n as usize);
+    while (seen.len() as u64) < n {
+        let key = rng.below(key_range) + 1;
+        if seen.insert(key) {
+            new_key(key, rng);
+        }
+    }
+}
+
 /// The pointwise maximum of every structure's declared guard requirement
 /// — what a harness that drives any structure through one factory passes
 /// to `SchemeFactoryBuilder::guard_requirement`.

@@ -16,7 +16,7 @@
 //! raw `OpMem` instruction the hand-wired code issued, so schedules,
 //! cycle counts, and the committed figures are unchanged.
 
-use st_machine::Cpu;
+use st_machine::{Cpu, Pcg32};
 use st_reclaim::mem::{self, Guard, GuardPool, GuardRequirement, Mem, NodeType, Owned};
 use st_reclaim::SchemeThread;
 use st_simheap::{Addr, Heap, TaggedPtr, Word};
@@ -105,7 +105,7 @@ impl ListShape {
     }
 
     /// Inserts `key` directly, bypassing the concurrency protocol
-    /// (untimed; initial population before the measured run).
+    /// (untimed; set-up before the measured run).
     pub fn insert_untimed(&self, heap: &Heap, key: u64) -> bool {
         assert!(key > 0 && key < u64::MAX, "key range");
         let mut prev = self.head;
@@ -116,10 +116,7 @@ impl ListShape {
                 return false;
             }
             if ckey > key {
-                let node = heap
-                    .alloc_untimed(NODE_WORDS)
-                    .expect("heap too small for initial population");
-                heap.poke(node, NODE_KEY, key);
+                let node = alloc_node_untimed(heap, key);
                 heap.poke(node, NODE_NEXT, cur.raw());
                 heap.poke(prev, NODE_NEXT, node.raw());
                 return true;
@@ -127,6 +124,38 @@ impl ListShape {
             prev = cur;
             cur = Addr::from_raw(heap.peek(cur, NODE_NEXT));
         }
+    }
+
+    /// Populates this empty list with `n` distinct keys drawn as
+    /// `rng.below(key_range) + 1` (untimed; initial population).
+    ///
+    /// Equivalent to calling [`ListShape::insert_untimed`] on fresh draws
+    /// until `n` succeed: the same draws, nodes allocated in draw order,
+    /// so every address and heap word is the same. It runs in
+    /// O(n log n) instead of O(n²): the nodes are sorted and linked once.
+    pub fn populate_untimed(&self, heap: &Heap, n: u64, key_range: u64, rng: &mut Pcg32) {
+        let mut nodes = Vec::with_capacity(n as usize);
+        crate::draw_distinct_keys(n, key_range, rng, |key, _| {
+            nodes.push((key, alloc_node_untimed(heap, key)));
+        });
+        nodes.sort_unstable();
+        self.link_untimed(heap, nodes.into_iter().map(|(_, node)| node));
+    }
+
+    /// Links `nodes` (key-sorted, keys set) between the sentinels of this
+    /// empty list.
+    pub(crate) fn link_untimed(&self, heap: &Heap, nodes: impl IntoIterator<Item = Addr>) {
+        assert_eq!(
+            heap.peek(self.head, NODE_NEXT),
+            self.tail.raw(),
+            "populate an empty list"
+        );
+        let mut prev = self.head;
+        for node in nodes {
+            heap.poke(prev, NODE_NEXT, node.raw());
+            prev = node;
+        }
+        heap.poke(prev, NODE_NEXT, self.tail.raw());
     }
 
     /// Reads the current key set without charging time (tests/validation).
@@ -175,6 +204,15 @@ impl ListShape {
             cur = next;
         }
     }
+}
+
+/// Allocates an unlinked node holding `key` (untimed; set-up).
+pub(crate) fn alloc_node_untimed(heap: &Heap, key: u64) -> Addr {
+    let node = heap
+        .alloc_untimed(NODE_WORDS)
+        .expect("heap too small for initial population");
+    heap.poke(node, NODE_KEY, key);
+    node
 }
 
 /// One step of Michael's `find`: leaves `PREV`/`CUR`/`NEXT`/`CKEY` locals

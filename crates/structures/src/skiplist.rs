@@ -148,7 +148,8 @@ impl SkipShape {
         h
     }
 
-    /// Inserts directly (initial population).
+    /// Inserts directly (untimed; set-up). Draws the tower height from
+    /// `rng` only when `key` is new.
     pub fn insert_untimed(&self, heap: &Heap, key: u64, rng: &mut Pcg32) -> bool {
         assert!(key > 0 && key < u64::MAX, "key range");
         let mut preds = [Addr(0); MAX_LEVEL];
@@ -168,18 +169,45 @@ impl SkipShape {
         if heap.peek(succ0, NODE_KEY) == key {
             return false;
         }
-        let h = Self::random_level(rng);
-        let node = heap
-            .alloc_untimed(2 + h)
-            .expect("heap too small for initial population");
-        heap.poke(node, NODE_KEY, key);
-        heap.poke(node, NODE_LEVEL, h as u64);
+        let (node, h) = alloc_tower_untimed(heap, key, rng);
         for l in 0..h {
             let succ = heap.peek(preds[l], NODE_NEXT0 + l as u64);
             heap.poke(node, NODE_NEXT0 + l as u64, succ);
             heap.poke(preds[l], NODE_NEXT0 + l as u64, node.raw());
         }
         true
+    }
+
+    /// Populates this empty skip list with `n` distinct keys drawn as
+    /// `rng.below(key_range) + 1` (untimed; initial population).
+    ///
+    /// Equivalent to calling [`SkipShape::insert_untimed`] on fresh draws
+    /// until `n` succeed: the same draw sequence (a key, then a height for
+    /// a new key only), towers allocated in draw order, so every address
+    /// and heap word is the same. The towers are then sorted and every
+    /// level linked in one pass, O(n log n) instead of O(n²).
+    pub fn populate_untimed(&self, heap: &Heap, n: u64, key_range: u64, rng: &mut Pcg32) {
+        assert_eq!(
+            heap.peek(self.head, NODE_NEXT0),
+            self.tail.raw(),
+            "populate an empty skip list"
+        );
+        let mut towers = Vec::with_capacity(n as usize);
+        crate::draw_distinct_keys(n, key_range, rng, |key, rng| {
+            let (node, h) = alloc_tower_untimed(heap, key, rng);
+            towers.push((key, node, h));
+        });
+        towers.sort_unstable();
+        let mut preds = [self.head; MAX_LEVEL];
+        for &(_, node, h) in &towers {
+            for (l, pred) in preds.iter_mut().enumerate().take(h) {
+                heap.poke(*pred, NODE_NEXT0 + l as u64, node.raw());
+                *pred = node;
+            }
+        }
+        for (l, pred) in preds.into_iter().enumerate() {
+            heap.poke(pred, NODE_NEXT0 + l as u64, self.tail.raw());
+        }
     }
 
     /// Keys present at the bottom level (untimed; tests). Marked nodes are
@@ -235,6 +263,18 @@ impl SkipShape {
             }
         }
     }
+}
+
+/// Allocates an unlinked tower for `key` with a height drawn from `rng`
+/// (untimed; set-up). Returns the node and its height.
+fn alloc_tower_untimed(heap: &Heap, key: u64, rng: &mut Pcg32) -> (Addr, usize) {
+    let h = SkipShape::random_level(rng);
+    let node = heap
+        .alloc_untimed(2 + h)
+        .expect("heap too small for initial population");
+    heap.poke(node, NODE_KEY, key);
+    heap.poke(node, NODE_LEVEL, h as u64);
+    (node, h)
 }
 
 /// One step of the skip-list search. Ends with `PREDS`/`SUCCS` filled and

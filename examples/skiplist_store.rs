@@ -78,12 +78,7 @@ fn main() {
     // Build and pre-populate the index.
     let shape = SkipShape::new_untimed(&heap);
     let mut rng = Pcg32::new(2024);
-    let mut loaded = 0;
-    while loaded < INITIAL {
-        if shape.insert_untimed(&heap, rng.below(KEYSPACE) + 1, &mut rng) {
-            loaded += 1;
-        }
-    }
+    shape.populate_untimed(&heap, INITIAL, KEYSPACE, &mut rng);
 
     // Run 5 virtual milliseconds on the simulated 8-way machine.
     let sim = Simulator::new(SimConfig::haswell_ms(5, 7));

@@ -81,25 +81,16 @@ pub fn build_env_cfg(
         .build();
 
     let mut rng = st_machine::Pcg32::new_stream(seed, 0x7e57);
+    let key_range = 2 * initial.max(8);
     let instance = match target {
         Target::List => {
             let shape = list::ListShape::new_untimed(&heap);
-            let mut n = 0;
-            while n < initial {
-                if shape.insert_untimed(&heap, rng.below(2 * initial.max(8)) + 1) {
-                    n += 1;
-                }
-            }
+            shape.populate_untimed(&heap, initial, key_range, &mut rng);
             Instance::List(shape)
         }
         Target::SkipList => {
             let shape = skiplist::SkipShape::new_untimed(&heap);
-            let mut n = 0;
-            while n < initial {
-                if shape.insert_untimed(&heap, rng.below(2 * initial.max(8)) + 1, &mut rng) {
-                    n += 1;
-                }
-            }
+            shape.populate_untimed(&heap, initial, key_range, &mut rng);
             Instance::SkipList(shape)
         }
         Target::Queue => {
@@ -111,12 +102,7 @@ pub fn build_env_cfg(
         }
         Target::Hash => {
             let shape = hash::HashShape::new_untimed(&heap, 64);
-            let mut n = 0;
-            while n < initial {
-                if shape.insert_untimed(&heap, rng.below(2 * initial.max(8)) + 1) {
-                    n += 1;
-                }
-            }
+            shape.populate_untimed(&heap, initial, key_range, &mut rng);
             Instance::Hash(shape)
         }
     };
